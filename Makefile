@@ -94,12 +94,14 @@ stream-smoke:
 # suppression must keep answering at least half the requested decisions
 # without a real solve, the pair pre-filter must retire the strided
 # workload's provably race-free pairs, one full analysis must stay
-# within the arena builder's allocation budget, and the static filter
+# within the arena builder's allocation budget, the static filter
 # must cut collection volume and retire pair classes without changing
-# any verdict.
+# any verdict, and a live metrics registry must cost the contended
+# collector no more than 1.25x (the per-event path writes no shared
+# memory).
 bench-smoke:
 	$(GO) test -short -run 'TestAnalyzerBenchSmoke|TestStaticFilterSmoke' ./internal/harness
-	$(GO) test -run 'TestAnalyzerAllocSmoke' ./internal/harness
+	$(GO) test -run 'TestAnalyzerAllocSmoke|TestCollectorObsCostSmoke' ./internal/harness
 
 # CPU and heap profiles of the end-to-end analyzer benchmark (the
 # c_jacobi-class workload the perf acceptance criteria measure). Inspect

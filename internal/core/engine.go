@@ -26,10 +26,12 @@ import (
 //     verdict (and a translatable witness) is cached per worker with a
 //     sharded global spill behind it.
 //   - Race-site suppression: report dedup merges every further detection
-//     of a confirmed (PC, PC, write, write) site pair into one record, so
-//     once the pair is known racy, later node pairs mapping to it skip
-//     the solver entirely (Config.AllRaces disables this to count every
-//     instance).
+//     of a confirmed (PC, PC, write, write) site pair into one record that
+//     keeps the lowest witness address, so once the pair is known racy,
+//     later node pairs mapping to it skip the solver unless they could
+//     still lower that witness (Config.AllRaces disables this to count
+//     every instance). The reported witness is therefore the lowest over
+//     all conflicting node pairs, whatever order they are compared in.
 //
 // The legacy probing engine (Config.ProbeEngine) is kept verbatim as the
 // reference implementation for differential tests and A/B benchmarks.
@@ -45,7 +47,7 @@ type compareEngine struct {
 	probe    bool
 
 	memo  solverMemo
-	sites sync.Map // raceSite -> struct{}: confirmed racy, solver skipped
+	sites sync.Map // raceSite -> uint64: confirmed racy, lowest witness so far
 
 	comparisons, solverCalls, bboxFast atomicCounter
 	cacheHits, cacheMisses, suppressed atomicCounter
@@ -194,7 +196,10 @@ func (w *engineWorker) check(na, nb *itree.Run) {
 	}
 	site := newRaceSite(na, nb)
 	if !w.e.allRaces {
-		if _, done := w.e.sites.Load(site); done {
+		// A witness is a byte both runs touch, so it is at least the
+		// higher of the two first bytes: a pair starting at or above the
+		// site's lowest witness so far cannot lower it and is skipped.
+		if wit, done := w.e.sites.Load(site); done && max(na.Low, nb.Low) >= wit.(uint64) {
 			w.suppd++
 			return
 		}
@@ -204,9 +209,20 @@ func (w *engineWorker) check(na, nb *itree.Run) {
 		return
 	}
 	if !w.e.allRaces {
-		w.e.sites.Store(site, struct{}{})
+		w.e.lowerWitness(site, addr)
 	}
 	w.reportRace(na, nb, addr)
+}
+
+// lowerWitness records addr as the site's witness unless a lower one is
+// already known.
+func (e *compareEngine) lowerWitness(site raceSite, addr uint64) {
+	for {
+		old, loaded := e.sites.LoadOrStore(site, addr)
+		if !loaded || old.(uint64) <= addr || e.sites.CompareAndSwap(site, old, addr) {
+			return
+		}
+	}
 }
 
 func (w *engineWorker) reportRace(na, nb *itree.Run, addr uint64) {

@@ -10,6 +10,7 @@ import (
 	"sword/internal/compress"
 	"sword/internal/itree"
 	"sword/internal/memsim"
+	"sword/internal/obs"
 	"sword/internal/omp"
 	"sword/internal/pcreg"
 	"sword/internal/rt"
@@ -29,28 +30,39 @@ type BenchResult struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
+// contendedThreads is the team size of the contended collection shape.
+const contendedThreads = 8
+
+// collectContended runs the contended collection shape and returns the
+// still-open collector: contendedThreads team members each append n writes
+// to their own slot, with 4096-event buffers so flushes are frequent. Any
+// write to shared memory on the per-event path turns into cache-line
+// traffic between the team here.
+func collectContended(n int, cfg rt.Config) *rt.Collector {
+	cfg.MaxEvents = 4096
+	col := rt.New(trace.NewMemStore(), cfg)
+	rtm := omp.New(omp.WithTool(col))
+	pc := pcreg.Site("bench:contended")
+	rtm.Parallel(contendedThreads, func(th *omp.Thread) {
+		base := 0x100000 + uint64(th.ID())<<24
+		for i := 0; i < n; i++ {
+			th.Write(base+uint64(i&4095)*8, 8, pc)
+		}
+	})
+	return col
+}
+
 // benchCollectorContended measures the collection hot path under
-// contention: 8 team members hammer their own slots concurrently, so any
-// shared lock on the slot-lookup path serializes the whole team. The async
-// variant exercises the parallel flush pipeline; the sync variant
-// compresses on the application threads.
-func benchCollectorContended(synchronous bool) func(b *testing.B) {
+// contention. The async variant exercises the parallel flush pipeline; the
+// sync variant compresses on the application threads. A non-nil registry
+// m is the configuration every sword.NewSession runs with.
+func benchCollectorContended(synchronous bool, m *obs.Metrics) func(b *testing.B) {
 	return func(b *testing.B) {
-		const threads = 8
-		store := trace.NewMemStore()
-		col := rt.New(store, rt.Config{MaxEvents: 4096, Synchronous: synchronous})
-		rtm := omp.New(omp.WithTool(col))
-		pc := pcreg.Site("bench:contended")
 		b.ReportAllocs()
 		b.ResetTimer()
-		rtm.Parallel(threads, func(th *omp.Thread) {
-			base := 0x100000 + uint64(th.ID())<<24
-			for i := 0; i < b.N; i++ {
-				th.Write(base+uint64(i&4095)*8, 8, pc)
-			}
-		})
+		col := collectContended(b.N, rt.Config{Synchronous: synchronous, Obs: m})
 		b.StopTimer()
-		b.ReportMetric(float64(threads*b.N)/b.Elapsed().Seconds(), "events/s")
+		b.ReportMetric(float64(contendedThreads*b.N)/b.Elapsed().Seconds(), "events/s")
 		if err := col.Close(); err != nil {
 			b.Fatal(err)
 		}
@@ -246,8 +258,9 @@ func MicroBenches() map[string]BenchResult {
 		name string
 		fn   func(*testing.B)
 	}{
-		{"CollectorContended", benchCollectorContended(false)},
-		{"CollectorContendedSync", benchCollectorContended(true)},
+		{"CollectorContended", benchCollectorContended(false, nil)},
+		{"CollectorContendedObs", benchCollectorContended(false, obs.New())},
+		{"CollectorContendedSync", benchCollectorContended(true, nil)},
 		{"CollectorHotPath", benchCollectorHotPath},
 		{"CollectorAffine/certified", benchCollectorAffine("certified")},
 		{"CollectorAffine/uncertified", benchCollectorAffine("uncertified")},

@@ -1,9 +1,14 @@
 package harness
 
 import (
+	"runtime"
+	"sort"
 	"testing"
+	"time"
 
 	"sword"
+	"sword/internal/obs"
+	"sword/internal/rt"
 )
 
 // TestAnalyzerBenchSmoke is the make-check regression guard for the
@@ -64,6 +69,55 @@ func TestAnalyzerAllocSmoke(t *testing.T) {
 	const ceiling = 4000
 	if allocs > ceiling {
 		t.Fatalf("analysis allocates %.0f objects per run, budget %d", allocs, ceiling)
+	}
+}
+
+// TestCollectorObsCostSmoke is the make-check guard for the cost rule
+// (obs package doc): a live metrics registry must cost nothing measurable
+// on the collector's per-event path. It times the contended collection
+// shape with and without a registry, interleaved, and fails if the ratio
+// of the median ns/op exceeds 1.25. A shared counter bumped on every
+// append costs about 2x on this shape, far outside the bound; single runs
+// spread by ±20% on a loaded host, which the medians of 21 absorb.
+func TestCollectorObsCostSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing guard: distorted under short/race harness runs")
+	}
+	const (
+		events = 400_000 // per thread and run
+		runs   = 21
+		bound  = 1.25
+	)
+	nsPerOp := func(m *obs.Metrics) float64 {
+		runtime.GC() // each run starts from the same heap
+		start := time.Now()
+		col := collectContended(events, rt.Config{Obs: m})
+		elapsed := time.Since(start)
+		if err := col.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return float64(elapsed.Nanoseconds()) / events
+	}
+	nsPerOp(nil) // warm pools and the pc table
+	var plain, withObs []float64
+	for i := 0; i < runs; i++ {
+		if i%2 == 0 { // alternate the order so neither side always runs first
+			plain = append(plain, nsPerOp(nil))
+			withObs = append(withObs, nsPerOp(obs.New()))
+		} else {
+			withObs = append(withObs, nsPerOp(obs.New()))
+			plain = append(plain, nsPerOp(nil))
+		}
+	}
+	median := func(xs []float64) float64 {
+		sort.Float64s(xs)
+		return xs[len(xs)/2]
+	}
+	p, o := median(plain), median(withObs)
+	t.Logf("median ns/op: %.0f without a registry, %.0f with one (%.2fx)", p, o, o/p)
+	if o/p > bound {
+		t.Fatalf("live registry costs %.2fx on the contended collector (%.0f vs %.0f ns/op), bound %.2fx",
+			o/p, o, p, bound)
 	}
 }
 

@@ -684,7 +684,10 @@ func (it *AffineIter) StoreI32(r AffineRef, v int32) {
 // armed: the access is recorded plainly, so the loop's trace is not empty
 // and the clean claim dies; the dropped prefix remains exact.
 func (t *Thread) certRaw() {
-	if cs := t.cert; cs != nil {
+	// Load before store: the flag is team-shared, and an unconditional
+	// store on every raw access would bounce its cache line between the
+	// team's threads.
+	if cs := t.cert; cs != nil && !cs.tc.dirty.Load() {
 		cs.tc.dirty.Store(true)
 	}
 }

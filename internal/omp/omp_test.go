@@ -645,3 +645,27 @@ func TestForOrderedSectionIsToolVisibleMutex(t *testing.T) {
 		t.Fatalf("mutex acquisitions = %d, want 7 (one per iteration)", rec.mutexOps)
 	}
 }
+
+// TestCriticalFirstUseDrawsOneID: threads racing into a critical section
+// for the first time create one lock between them, so the section's mutex
+// id, and the trace that records it, does not depend on the schedule.
+func TestCriticalFirstUseDrawsOneID(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		rtm := New()
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for g := 0; g < 8; g++ {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				start.Wait()
+				rtm.criticalLock("c")
+			}()
+		}
+		start.Done()
+		done.Wait()
+		if n := rtm.MutexCount(); n != 1 {
+			t.Fatalf("round %d: %d mutex ids drawn for one critical section", round, n)
+		}
+	}
+}

@@ -40,7 +40,8 @@ type Runtime struct {
 	slots        *slotPool
 	regionSeq    atomic.Uint64
 	mutexSeq     atomic.Uint64
-	criticals    sync.Map // name -> *Lock
+	criticals    sync.Map   // name -> *Lock
+	criticalMu   sync.Mutex // serializes first use of a critical name
 	pcs          *pcreg.Table
 }
 

@@ -60,12 +60,22 @@ func (t *Thread) Critical(name string, f func()) {
 	t.WithLock(l, f)
 }
 
+// criticalLock returns the named section's lock. First use is serialized
+// so that threads racing to create it draw one mutex id, not one each:
+// otherwise the section's id, and with it the trace, would depend on the
+// schedule.
 func (r *Runtime) criticalLock(name string) *Lock {
 	if v, ok := r.criticals.Load(name); ok {
 		return v.(*Lock)
 	}
-	v, _ := r.criticals.LoadOrStore(name, r.NewLock())
-	return v.(*Lock)
+	r.criticalMu.Lock()
+	defer r.criticalMu.Unlock()
+	if v, ok := r.criticals.Load(name); ok {
+		return v.(*Lock)
+	}
+	l := r.NewLock()
+	r.criticals.Store(name, l)
+	return l
 }
 
 // atomicStripes serialize simulated atomic read-modify-write operations.

@@ -8,7 +8,9 @@ package pcreg
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"runtime"
 	"sort"
@@ -97,26 +99,96 @@ func Here() uint64 { return Default.Here(1) }
 // Site registers a symbolic site name in the Default table.
 func Site(name string) uint64 { return Default.Register(name) }
 
-// WriteTo serializes the table as "id<TAB>name" lines.
+// trailerTag opens the line WriteTo ends every table with:
+//
+//	#end<TAB><lines><TAB><crc32>
+//
+// where lines counts the lines before the trailer and crc32 is the IEEE
+// checksum of every byte before it, as 8 lowercase hex digits. Entry lines
+// start with a decimal id, so the tag never collides with one.
+const trailerTag = "#end"
+
+// WriteTo serializes the table as "id<TAB>name" lines followed by the
+// trailer line that commits it (see Sealed).
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	bw := bufio.NewWriter(w)
+	crc := crc32.NewIEEE()
+	body := io.MultiWriter(bw, crc)
 	var n int64
 	for id, name := range t.names {
-		k, err := fmt.Fprintf(bw, "%d\t%s\n", id, name)
+		k, err := fmt.Fprintf(body, "%d\t%s\n", id, name)
 		n += int64(k)
 		if err != nil {
 			return n, err
 		}
 	}
+	k, err := fmt.Fprintf(bw, "%s\t%d\t%08x\n", trailerTag, len(t.names), crc.Sum32())
+	n += int64(k)
+	if err != nil {
+		return n, err
+	}
 	return n, bw.Flush()
 }
 
-// ReadTable parses a table previously written by WriteTo.
+// Sealed reports whether data is a complete serialized table: it ends in a
+// trailer line whose line count and checksum match the bytes before it.
+// Every strict prefix of what WriteTo wrote is unsealed, so a reader
+// tailing a still-running collector can tell a finished table from one
+// that is still being written, however long the writer stalls.
+func Sealed(data []byte) bool {
+	i := lastLine(data)
+	line, ok := bytes.CutSuffix(data[i:], []byte{'\n'})
+	if !ok {
+		return false
+	}
+	lines, sum, ok := parseTrailer(string(line))
+	return ok && bytes.Count(data[:i], []byte{'\n'}) == lines && crc32.ChecksumIEEE(data[:i]) == sum
+}
+
+// lastLine returns where data's last line starts, ignoring a final newline.
+func lastLine(data []byte) int {
+	return bytes.LastIndexByte(bytes.TrimSuffix(data, []byte{'\n'}), '\n') + 1
+}
+
+// parseTrailer parses a trailer line without its newline.
+func parseTrailer(line string) (lines int, sum uint32, ok bool) {
+	rest, found := strings.CutPrefix(line, trailerTag+"\t")
+	if !found {
+		return 0, 0, false
+	}
+	count, hex, found := strings.Cut(rest, "\t")
+	if !found || len(hex) != 8 {
+		return 0, 0, false
+	}
+	n, err := strconv.Atoi(count)
+	if err != nil || n < 0 {
+		return 0, 0, false
+	}
+	v, err := strconv.ParseUint(hex, 16, 32)
+	if err != nil {
+		return 0, 0, false
+	}
+	return n, uint32(v), true
+}
+
+// ReadTable parses a table previously written by WriteTo. A trailer must
+// match the lines before it (Sealed); a table without one is read as a
+// legacy table, accepted as is.
 func ReadTable(r io.Reader) (*Table, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	if i := lastLine(data); bytes.HasPrefix(data[i:], []byte("#")) {
+		if !Sealed(data) {
+			return nil, fmt.Errorf("pcreg: trailer %q does not match the table", bytes.TrimSuffix(data[i:], []byte{'\n'}))
+		}
+		data = data[:i]
+	}
 	t := NewTable()
-	sc := bufio.NewScanner(r)
+	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	entries := make(map[uint64]string)
 	var maxID uint64

@@ -2,6 +2,7 @@ package pcreg
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -75,6 +76,58 @@ func TestReadTableErrors(t *testing.T) {
 	got, err := ReadTable(strings.NewReader(""))
 	if err != nil || got.Len() == 0 {
 		t.Errorf("empty table: %v, len %d", err, got.Len())
+	}
+}
+
+// TestTrailerCommitsTable pins the end-of-table contract: the written
+// table is sealed, no strict prefix of it is, and ReadTable rejects a
+// trailer that does not match the bytes before it while still reading a
+// legacy table that has none.
+func TestTrailerCommitsTable(t *testing.T) {
+	tb := NewTable()
+	for i := 0; i < 50; i++ {
+		tb.Register(fmt.Sprintf("site%d.go:%d", i, 10*i))
+	}
+	var buf bytes.Buffer
+	if _, err := tb.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if !Sealed(data) {
+		t.Fatal("complete table not sealed")
+	}
+	for n := 0; n < len(data); n++ {
+		if Sealed(data[:n]) {
+			t.Fatalf("prefix of %d/%d bytes reported sealed", n, len(data))
+		}
+	}
+
+	body := data[:bytes.LastIndex(data, []byte("#end"))]
+	legacy, err := ReadTable(bytes.NewReader(body))
+	if err != nil || legacy.Len() != tb.Len() {
+		t.Fatalf("legacy table: %v, len %d want %d", err, legacy.Len(), tb.Len())
+	}
+
+	damaged := bytes.Clone(data)
+	damaged[len(body)/2] ^= 0x01 // inside some entry's name
+	if Sealed(damaged) {
+		t.Error("damaged table reported sealed")
+	}
+	if _, err := ReadTable(bytes.NewReader(damaged)); err == nil {
+		t.Error("trailer mismatch accepted")
+	}
+	// A lost line leaves every remaining line well-formed.
+	first := bytes.IndexByte(body, '\n') + 1
+	second := first + bytes.IndexByte(body[first:], '\n') + 1
+	short := append(bytes.Clone(data[:first]), data[second:]...)
+	if _, err := ReadTable(bytes.NewReader(short)); err == nil {
+		t.Error("table with a missing line accepted")
+	}
+	if _, err := ReadTable(bytes.NewReader(append(bytes.Clone(data), "7\textra\n"...))); err == nil {
+		t.Error("data after the trailer accepted")
+	}
+	if _, err := ReadTable(bytes.NewReader(data[:len(data)-1])); err == nil {
+		t.Error("torn trailer accepted")
 	}
 }
 

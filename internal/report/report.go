@@ -63,6 +63,16 @@ func (r Race) normKey() key {
 	return key{pcA: a.PC, pcB: b.PC, wA: a.Write, wB: b.Write}
 }
 
+// witnessBefore orders two records of the same site pair by witness
+// address, then by side orientation.
+func (r Race) witnessBefore(o Race) bool {
+	if r.Addr != o.Addr {
+		return r.Addr < o.Addr
+	}
+	a, b := r.First, o.First
+	return a.PC < b.PC || (a.PC == b.PC && !a.Write && b.Write)
+}
+
 // Stats captures analysis effort counters for the experiment tables, plus
 // the coverage counters of salvage-mode analysis over a damaged trace.
 type Stats struct {
@@ -150,13 +160,19 @@ type Report struct {
 // New returns an empty report.
 func New() *Report { return &Report{races: make(map[key]*Race)} }
 
-// Add records a race, merging duplicates of the same site pair.
+// Add records a race, merging duplicates of the same site pair. The
+// merged record keeps the lowest witness address (ties broken by side
+// order), so the reported witness does not depend on the order in which
+// parallel or online analysis happens to detect the duplicates.
 func (r *Report) Add(race Race) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	k := race.normKey()
 	if existing, ok := r.races[k]; ok {
 		existing.Count += max(race.Count, 1)
+		if race.witnessBefore(*existing) {
+			existing.First, existing.Second, existing.Addr = race.First, race.Second, race.Addr
+		}
 		return
 	}
 	if race.Count == 0 {

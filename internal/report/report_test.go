@@ -22,7 +22,31 @@ func TestAddDeduplicatesUnorderedPairs(t *testing.T) {
 		t.Fatalf("Count = %d, want 3", race.Count)
 	}
 	if race.Addr != 0x10 {
-		t.Fatalf("witness = %#x, want the first", race.Addr)
+		t.Fatalf("witness = %#x, want the lowest", race.Addr)
+	}
+}
+
+// TestWitnessIndependentOfOrder: whatever order duplicates of one site
+// pair arrive in, the record keeps the lowest witness address, and on a
+// tied address the same side orientation.
+func TestWitnessIndependentOfOrder(t *testing.T) {
+	a := Side{PC: 1, Source: "a.go:1", Write: true}
+	b := Side{PC: 2, Source: "b.go:2"}
+	dups := []Race{
+		{First: a, Second: b, Addr: 0x30},
+		{First: b, Second: a, Addr: 0x10},
+		{First: a, Second: b, Addr: 0x10},
+		{First: b, Second: a, Addr: 0x20},
+	}
+	want := Race{First: a, Second: b, Addr: 0x10, Count: len(dups)}
+	for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}, {2, 0, 3, 1}} {
+		r := New()
+		for _, i := range order {
+			r.Add(dups[i])
+		}
+		if got := r.Races()[0]; got != want {
+			t.Errorf("order %v: got %+v, want %+v", order, got, want)
+		}
 	}
 }
 

@@ -12,11 +12,14 @@
 // barriers, nested forks) emit meta-data records locating each interval
 // fragment's byte range in the log.
 //
-// Two invariants keep the hot path scalable:
+// Three invariants keep the hot path scalable:
 //
 //   - Slot lookup is lock-free. The slot table is an atomically published
 //     slice, grown copy-on-write under a mutex only when a new slot first
 //     appears; Access/MutexAcquired/MutexReleased pay one atomic load.
+//   - The per-event path writes no shared memory. An event touches only its
+//     slot's encoder; collector-wide counters (rt.events included) fold in
+//     once per flushed buffer.
 //   - The flush pipeline preserves per-slot block order while compressing
 //     different slots concurrently: each slot owns a FIFO of pending
 //     buffers and is scheduled on at most one worker at a time, so blocks
@@ -85,7 +88,10 @@ type Config struct {
 	// Obs, when non-nil, receives the dynamic phase's live metrics
 	// (rt.* names, see docs/FORMAT.md): events appended, buffer fills,
 	// flush count and latency, raw vs compressed bytes, fragments, and
-	// slots. Recording is one atomic add per value; nil disables it.
+	// slots. Nothing is recorded per event: rt.events folds in once per
+	// flushed buffer and every other instrument once per flush, fragment
+	// or slot, so while the run goes rt.events lags by at most one buffer
+	// per slot and is exact after Close. nil disables it.
 	Obs *obs.Metrics
 	// StaticFilter arms static worksharing certificates (omp.CertTool):
 	// accesses a certified loop proves race-free are counted
@@ -105,7 +111,7 @@ type Config struct {
 
 // Stats aggregates collection counters across all slots.
 type Stats struct {
-	Events          uint64 // instrumented events recorded
+	Events          uint64 // instrumented events recorded (counted per flushed buffer; exact after Close)
 	EventsFiltered  uint64 // accesses dropped by static certificates
 	Flushes         uint64 // buffer flushes
 	RawBytes        uint64 // uncompressed bytes flushed
@@ -426,12 +432,18 @@ func (c *Collector) snapshot() []*slotState {
 func (st *slotState) logical() uint64 { return st.flushed + uint64(st.enc.Len()) }
 
 // flush hands the current buffer to the flush pipeline (or writes it
-// inline in synchronous mode) and resets the encoder.
+// inline in synchronous mode) and resets the encoder. The buffer's events
+// are counted here, once per buffer (see bump). A degraded slot still
+// passes through, so its events are counted although its blocks are
+// dropped.
 func (c *Collector) flush(st *slotState) {
 	n := st.enc.Len()
 	if n == 0 {
 		return
 	}
+	events := uint64(st.enc.Events())
+	c.events.Add(events)
+	c.mEvents.Add(events)
 	if c.sync {
 		c.writeBlock(st, st.enc.Bytes())
 	} else {
@@ -707,9 +719,9 @@ func (c *Collector) LoopCertEnd(th *omp.Thread, cert *trace.LoopCert) {
 	}
 }
 
+// bump is the per-event buffer-fill check. It must stay free of writes to
+// shared memory: collector-wide counters fold in at flush.
 func (c *Collector) bump(st *slotState) {
-	c.events.Add(1)
-	c.mEvents.Inc()
 	if st.enc.Events() >= c.maxEvents {
 		c.mFills.Inc()
 		c.flush(st)
@@ -754,9 +766,9 @@ func (c *Collector) Close() error {
 			degraded++
 		}
 	}
-	// Taskwaits first, pc table last: the pc table's appearance is the
-	// end-of-run marker a tailing analyzer watches for, so every other
-	// trace artifact must already be durable when it lands.
+	// Taskwaits first, pc table last: the pc table's trailer is the
+	// end-of-run record a tailing analyzer waits for (pcreg.Sealed), so
+	// every other trace artifact must already be durable when it lands.
 	if err := c.writeTaskWaits(); err != nil {
 		errs = append(errs, err)
 	}

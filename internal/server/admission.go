@@ -203,15 +203,24 @@ func (s *Server) saveFile(u *uploadSession, name string, r io.Reader) error {
 // the admission accounting cannot be driven negative.
 func (s *Server) abortUpload(u *uploadSession) {
 	s.mu.Lock()
+	live := s.dropUploadLocked(u)
+	s.mu.Unlock()
+	if live {
+		u.stopLive()
+		os.RemoveAll(u.dir)
+	}
+}
+
+// dropUploadLocked removes a still-live session from s.uploads and refunds
+// its charges, reporting whether it was live; the caller then stops its
+// live lane and removes its directory. Caller holds s.mu.
+func (s *Server) dropUploadLocked(u *uploadSession) bool {
 	if _, live := s.uploads[u.id]; !live {
-		s.mu.Unlock()
-		return
+		return false
 	}
 	delete(s.uploads, u.id)
 	s.refundLocked(u.tenant, u.bytes)
-	s.mu.Unlock()
-	u.stopLive()
-	os.RemoveAll(u.dir)
+	return true
 }
 
 // commitUpload turns a completed session into a queued job, returning a

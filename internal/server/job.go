@@ -168,13 +168,18 @@ func (s *Server) runAttempt(j *Job) {
 
 	rep, err := s.analyze(tctx, j, salvage, memBudget)
 	tcancel()
-	cause := context.Cause(ctx)
-	cancel(nil)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Cancels happen under s.mu too, so reading the cause here orders this
+	// attempt's outcome against them: a client cancel answered 202 ends
+	// the job canceled even if the analysis finished just before it.
+	cause := context.Cause(ctx)
+	cancel(nil)
 	j.cancel = nil
 	switch {
+	case errors.Is(cause, errCanceled):
+		s.finishJob(j, nil, errCanceled)
 	case err == nil:
 		s.finishJob(j, rep, nil)
 	case errors.Is(cause, errDraining):
@@ -183,8 +188,6 @@ func (s *Server) runAttempt(j *Job) {
 		j.RetryAt = time.Time{}
 		s.sched.push(j)
 		s.m.Counter("server.jobs_requeued").Inc()
-	case errors.Is(cause, errCanceled):
-		s.finishJob(j, nil, errCanceled)
 	case errors.Is(cause, errMemGuard):
 		j.MemBudget = max(j.MemBudget/2, 1<<20)
 		s.m.Counter("server.mem_cancels").Inc()

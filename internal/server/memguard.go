@@ -64,28 +64,27 @@ func (s *Server) memGuard() {
 // as jobs complete.
 func (s *Server) reap(now time.Time) {
 	s.mu.Lock()
+	// Expiry and pruning are counted under s.mu, in the same step that
+	// makes the session or job unreachable, so the metrics never lag what
+	// clients observe.
 	var stale []*uploadSession
 	for _, u := range s.uploads {
 		if now.Sub(u.lastActive) > s.cfg.UploadTimeout {
+			s.dropUploadLocked(u)
+			s.m.Counter("server.uploads_expired").Inc()
 			stale = append(stale, u)
 		}
 	}
-	var prune []*Job
 	for id, j := range s.jobs {
 		if j.terminal() && !j.FinishedAt.IsZero() && now.Sub(j.FinishedAt) > s.cfg.JobTTL {
 			delete(s.jobs, id)
-			prune = append(prune, j)
+			os.RemoveAll(j.dir) // gone by the time the job stops resolving
+			s.m.Counter("server.jobs_pruned").Inc()
 		}
 	}
 	s.mu.Unlock()
 	for _, u := range stale {
-		// abortUpload re-checks liveness, so racing a late commit or an
-		// explicit client abort refunds once, not twice.
-		s.abortUpload(u)
-		s.m.Counter("server.uploads_expired").Inc()
-	}
-	for _, j := range prune {
-		os.RemoveAll(j.dir)
-		s.m.Counter("server.jobs_pruned").Inc()
+		u.stopLive()
+		os.RemoveAll(u.dir)
 	}
 }

@@ -21,8 +21,10 @@
 // live rounds already decided; the reported race set is therefore
 // identical to a post-mortem analysis by construction.
 //
-// End of run is detected by the appearance of the pc-table auxiliary
-// file, which the collector writes last; a crashed run never produces it,
+// End of run is a committed fact, not a timing guess: the collector's
+// last act is writing the pc-table auxiliary file, which ends in a
+// checksummed trailer (pcreg.Sealed). A table still being written is never
+// sealed, however long the writer stalls; a crashed run never seals one,
 // and cancelling the context then returns the partial live report. Real
 // corruption (checksum or framing damage over fully present bytes)
 // abandons the live state and falls back to a post-mortem salvage
@@ -40,6 +42,7 @@ import (
 
 	"sword/internal/core"
 	"sword/internal/obs"
+	"sword/internal/pcreg"
 	"sword/internal/report"
 	"sword/internal/trace"
 )
@@ -259,7 +262,6 @@ func cloneReport(src *report.Report) *report.Report {
 func (a *Analyzer) Run(ctx context.Context) (*report.Report, error) {
 	defer a.closeTails()
 	var endSeen bool
-	var pcTableLen int
 	for {
 		if err := ctx.Err(); err != nil {
 			return a.Snapshot(), err
@@ -274,13 +276,12 @@ func (a *Analyzer) Run(ctx context.Context) (*report.Report, error) {
 			// analyze whatever survives in one salvage pass.
 			return a.salvageFallback(ctx, err)
 		}
-		// End of run: the collector writes the pc table last, so once it
-		// is present and stable, one more full drain has seen everything.
-		done, tlen := a.endMarker()
-		if done && endSeen && tlen == pcTableLen && !progress {
+		// End of run: the collector seals the pc table last, so a round
+		// that began after the sealed table was seen drained everything.
+		if endSeen && !progress {
 			return a.finalize(ctx)
 		}
-		endSeen, pcTableLen = done, tlen
+		endSeen = endSeen || a.endMarker()
 		if !progress {
 			select {
 			case <-time.After(a.cfg.PollInterval):
@@ -290,20 +291,17 @@ func (a *Analyzer) Run(ctx context.Context) (*report.Report, error) {
 	}
 }
 
-// endMarker reports whether the end-of-run marker (the pc table aux file)
-// is present, and its current size so the caller can require stability —
-// the file's creation and its contents are not atomic.
-func (a *Analyzer) endMarker() (bool, int) {
+// endMarker reports whether the run has ended: the pc table aux file is
+// present and sealed by its trailer, which the collector writes after
+// every other trace artifact is durable.
+func (a *Analyzer) endMarker() bool {
 	aux, err := a.store.OpenAux("pctable")
 	if err != nil {
-		return false, 0
+		return false
 	}
 	defer aux.Close()
 	data, err := io.ReadAll(aux)
-	if err != nil || len(data) == 0 {
-		return false, 0
-	}
-	return true, len(data)
+	return err == nil && pcreg.Sealed(data)
 }
 
 // round is one poll-drain-seal-analyze cycle. It returns whether anything
@@ -715,7 +713,7 @@ func (a *Analyzer) finalize(ctx context.Context) (*report.Report, error) {
 // end marker first; a cancelled ctx aborts the wait.
 func (a *Analyzer) salvageFallback(ctx context.Context, cause error) (*report.Report, error) {
 	for {
-		if done, _ := a.endMarker(); done {
+		if a.endMarker() {
 			break
 		}
 		select {

@@ -1,7 +1,10 @@
 package stream_test
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"io"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -276,5 +279,91 @@ func TestCancelledRun(t *testing.T) {
 	}
 	if rep == nil {
 		t.Fatal("expected a partial report")
+	}
+}
+
+// halfTableStore serves a finished trace but exposes the pc table in two
+// stable halves: the first half (cut at a line boundary) for the first
+// hold opens of the aux file, the whole table after that. That is what a
+// collector stalling in the middle of writing its last file looks like to
+// a tailing analyzer, made deterministic by counting opens instead of
+// racing a clock.
+type halfTableStore struct {
+	trace.Store
+	hold  int64
+	opens atomic.Int64
+}
+
+func (s *halfTableStore) OpenAux(name string) (io.ReadCloser, error) {
+	r, err := s.Store.OpenAux(name)
+	if err != nil || name != rt.PCTableAux {
+		return r, err
+	}
+	defer r.Close()
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	if s.opens.Add(1) <= s.hold {
+		data = data[:bytes.LastIndexByte(data[:len(data)/2], '\n')+1]
+	}
+	return io.NopCloser(bytes.NewReader(data)), nil
+}
+
+// TestEndOfRunNeedsSealedTable pins the end-of-run contract: a pc table
+// that stays the same size across several polls is not the end of the run
+// unless its trailer validates. An analyzer that took a stable prefix for
+// the finished table would finalize with the racy sites (registered last,
+// so they sit in the withheld half) symbolized as numeric placeholders.
+func TestEndOfRunNeedsSealedTable(t *testing.T) {
+	pcs := pcreg.NewTable()
+	for i := 0; i < 64; i++ {
+		pcs.Register(fmt.Sprintf("stream-test:filler%d", i))
+	}
+	pcA := pcs.Register("stream-test:sealed-a")
+	pcB := pcs.Register("stream-test:sealed-b")
+
+	inner := trace.NewMemStore()
+	col := rt.New(inner, rt.Config{LiveFlush: true, MaxEvents: 64, PCs: pcs})
+	rtm := omp.New(omp.WithTool(col))
+	space := memsim.NewSpace(nil)
+	x, _ := space.AllocF64(8)
+	rtm.Parallel(2, func(th *omp.Thread) {
+		for phase := 0; phase < 3; phase++ {
+			if th.ID() == 0 {
+				th.StoreF64(x, 0, 1, pcA)
+			} else {
+				th.StoreF64(x, 0, 2, pcB)
+			}
+			th.Barrier()
+		}
+	})
+	if err := col.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store := &halfTableStore{Store: inner, hold: 6}
+	rep, err := stream.New(store, stream.Config{PollInterval: 100 * time.Microsecond}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := store.opens.Load(); n <= store.hold {
+		t.Fatalf("analyzer finished after %d pc table reads, before the second half was exposed", n)
+	}
+	post, err := core.New(inner, core.Config{}).AnalyzeContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := raceLines(rep), raceLines(post)
+	if len(want) == 0 {
+		t.Fatal("workload produced no races")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("race sets differ: online %v vs post-mortem %v", got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("race %d: online %q vs post-mortem %q", i, got[i], want[i])
+		}
 	}
 }
