@@ -35,11 +35,14 @@ race:
 	$(GO) test -race $(FAST_PKGS)
 	$(GO) test -race -short -run 'TestDifferentialSweepVsProbe|TestAnalyzerBenchSmoke|TestStaticFilterDifferential|TestStaticFilterSmoke|TestStreamDifferentialRandom|TestStreamDifferentialWorkloads' ./internal/harness
 
-# Short fuzz pass over the trace readers: adversarial inputs must never
-# panic or allocate unboundedly (seed corpus built in internal/trace).
+# Short fuzz pass over the trace readers and the event decoder: adversarial
+# inputs must never panic, loop or allocate unboundedly, and a run record
+# must decode to the count and stride its bytes encode (seed corpus built
+# in internal/trace).
 # One invocation per target — go test allows a single -fuzz match.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzLogReader$$' -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzDecodeMeta$$' -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzTailGrowingLog$$' -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzUploadHandler$$' -fuzztime 10s
@@ -98,10 +101,12 @@ stream-smoke:
 # must cut collection volume and retire pair classes without changing
 # any verdict, and a live metrics registry must cost the contended
 # collector no more than 1.25x (the per-event path writes no shared
-# memory).
+# memory). The encoder micro-benchmarks run once each so the coalescing
+# and the non-coalescing encoder paths keep compiling and running.
 bench-smoke:
 	$(GO) test -short -run 'TestAnalyzerBenchSmoke|TestStaticFilterSmoke' ./internal/harness
 	$(GO) test -run 'TestAnalyzerAllocSmoke|TestCollectorObsCostSmoke' ./internal/harness
+	$(GO) test -run '^$$' -bench '^BenchmarkEncoder(Strided|Scattered)$$' -benchtime=1x ./internal/trace
 
 # CPU and heap profiles of the end-to-end analyzer benchmark (the
 # c_jacobi-class workload the perf acceptance criteria measure). Inspect

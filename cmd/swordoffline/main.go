@@ -152,6 +152,7 @@ func printMetrics(stats *sword.RunStats) {
 	fmt.Printf("total:               %v\n", stats.AnalyzeTotal)
 	fmt.Println("--- trace consumed ---")
 	fmt.Printf("events:              %d\n", snap.Value("trace.events"))
+	fmt.Printf("records:             %d (a strided run is one)\n", snap.Value("trace.records"))
 	fmt.Printf("blocks (flushes):    %d\n", snap.Value("trace.blocks"))
 	fmt.Printf("raw bytes:           %d\n", snap.Value("trace.raw_bytes"))
 	fmt.Printf("compressed bytes:    %d\n", snap.Value("trace.compressed_bytes"))

@@ -150,8 +150,8 @@ func main() {
 	fmt.Printf("dynamic time: %v\n", res.DynTime)
 	if tool == harness.Sword {
 		fmt.Printf("offline time: %v (1 worker), %v (parallel)\n", res.OfflineOA, res.OfflineMT)
-		fmt.Printf("trace: %d events, %d flushes, %d fragments, %d log bytes\n",
-			res.Collector.Events, res.Collector.Flushes, res.Collector.Fragments, res.LogBytes)
+		fmt.Printf("trace: %d events in %d records, %d flushes, %d fragments, %d log bytes\n",
+			res.Collector.Events, res.Collector.Records, res.Collector.Flushes, res.Collector.Fragments, res.LogBytes)
 		if res.Collector.EventsFiltered > 0 {
 			fmt.Printf("static filter: %d accesses dropped at collection, %d pair classes retired\n",
 				res.Collector.EventsFiltered, res.Analysis.PairsRetiredStatic)

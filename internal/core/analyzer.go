@@ -177,8 +177,14 @@ func (a *Analyzer) Analyze() (*report.Report, error) {
 	return a.AnalyzeContext(context.Background())
 }
 
+// NoteUnfinished is the report note of a trace whose pc table is missing or
+// carries no trailer: the collector writes the table last, sealed, in
+// Close, so the run never reached its end.
+const NoteUnfinished = "run did not finish: no end-of-run record (crashed run or pre-trailer collector)"
+
 // loadPCs resolves the symbolization table: the configured one, the table
-// the collector persisted into the store, or a fresh empty table. In
+// the collector persisted into the store, or a fresh empty table. A
+// missing or unsealed persisted table yields the NoteUnfinished note. In
 // salvage mode a damaged persisted table degrades to numeric ids with a
 // note instead of failing the analysis.
 func (a *Analyzer) loadPCs() (*pcreg.Table, string, error) {
@@ -188,9 +194,9 @@ func (a *Analyzer) loadPCs() (*pcreg.Table, string, error) {
 	}
 	aux, err := a.store.OpenAux("pctable")
 	if err != nil {
-		return pcreg.NewTable(), "", nil
+		return pcreg.NewTable(), NoteUnfinished, nil
 	}
-	pcs, err = pcreg.ReadTable(aux)
+	pcs, sealed, err := pcreg.ReadTable(aux)
 	aux.Close()
 	if err != nil {
 		if !a.cfg.Salvage {
@@ -200,6 +206,9 @@ func (a *Analyzer) loadPCs() (*pcreg.Table, string, error) {
 		// nicety, not a reason to abandon the race analysis.
 		return pcreg.NewTable(),
 			fmt.Sprintf("pc table damaged (%v); race sites reported as numeric ids", err), nil
+	}
+	if !sealed {
+		return pcs, NoteUnfinished, nil
 	}
 	return pcs, "", nil
 }
@@ -722,7 +731,7 @@ func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, i
 	}
 	var dec trace.Decoder
 	var ev trace.Event
-	var events uint64
+	var events, records uint64
 	maxDepth := 0
 	for bb := range blocks {
 		if d := len(blocks) + 1; d > maxDepth {
@@ -747,7 +756,8 @@ func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, i
 				drain()
 				return fmt.Errorf("core: decode log %d at %d: %w", slot, pos, err)
 			}
-			events++
+			events += ev.Count
+			records++
 			unit, inside := cur.at(pos)
 			switch ev.Kind {
 			case trace.KindMutexAcquire:
@@ -775,7 +785,7 @@ func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, i
 					Atomic:  ev.Atomic,
 					PC:      ev.PC,
 					Mutexes: cur.held,
-				})
+				}, ev.Stride, ev.Count)
 			}
 		}
 		blockBufPool.Put(bb.buf)
@@ -798,6 +808,7 @@ func (a *Analyzer) buildSlotTrees(ctx context.Context, s *structure, slot int, i
 	if m := a.cfg.Obs; m != nil {
 		if countIO {
 			m.Counter("trace.events").Add(events)
+			m.Counter("trace.records").Add(records)
 			m.Counter("trace.blocks").Add(lr.Blocks())
 			m.Counter("trace.raw_bytes").Add(lr.RawBytes())
 			m.Counter("trace.compressed_bytes").Add(lr.CompressedBytes())

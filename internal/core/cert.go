@@ -166,7 +166,7 @@ func materializeCert(iv *interval) {
 		a := itree.Access{Width: decl.Elem, Write: decl.Write, PC: decl.PC}
 		c.DroppedAccesses(row, d, func(addr uint64) {
 			a.Addr = addr
-			u.insert(a)
+			u.insert(a, 0, 1)
 		})
 	}
 }

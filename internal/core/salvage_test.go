@@ -1,6 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"io"
+	"math/bits"
+	"slices"
 	"sort"
 	"testing"
 
@@ -18,7 +23,9 @@ import (
 // array every round: every barrier interval pair carries the same
 // write-write race, and rounds scales the trace volume (the log writer
 // buffers 64 KiB, so crash tests need enough rounds to reach the store
-// mid-run).
+// mid-run). The writes go in bit-reversed index order, whose address
+// deltas alternate in sign, so none coalesce into run records and the
+// volume stays one record per access.
 func racyWorkload(t *testing.T, store trace.Store, rounds int) error {
 	t.Helper()
 	col := rt.New(store, rt.Config{Synchronous: true, MaxEvents: 128, Codec: compress.Raw{}})
@@ -29,7 +36,8 @@ func racyWorkload(t *testing.T, store trace.Store, rounds int) error {
 	rtm.Parallel(2, func(th *omp.Thread) {
 		for round := 0; round < rounds; round++ {
 			for i := 0; i < 64; i++ {
-				th.StoreF64(arr, i, float64(i), pc)
+				j := int(bits.Reverse8(uint8(i)) >> 2)
+				th.StoreF64(arr, j, float64(j), pc)
 			}
 			th.Barrier()
 		}
@@ -247,5 +255,62 @@ func TestSalvageCleanTrace(t *testing.T) {
 	}
 	if !sitesEqual(raceSites(batched), raceSites(strict)) {
 		t.Fatal("salvage + SubtreeBatch diverges from strict analysis")
+	}
+}
+
+// noPCTable hides the store's pc table, as after a crash before Close.
+type noPCTable struct{ trace.Store }
+
+func (s noPCTable) OpenAux(name string) (io.ReadCloser, error) {
+	if name == rt.PCTableAux {
+		return nil, errors.New("no such aux file")
+	}
+	return s.Store.OpenAux(name)
+}
+
+// TestUnfinishedRunNoted: a trace whose pc table has no end-of-run trailer,
+// or no pc table at all, reports that the run did not finish, in strict
+// and in salvage mode alike; the sealed table of a finished run does not.
+func TestUnfinishedRunNoted(t *testing.T) {
+	mem := trace.NewMemStore()
+	if err := racyWorkload(t, mem, 4); err != nil {
+		t.Fatal(err)
+	}
+	noted := func(rep *report.Report) bool {
+		return slices.Contains(rep.Notes(), NoteUnfinished)
+	}
+	trailerless := trace.NewFaultStore(mem)
+	trailerless.SetMutateRead(func(name string, data []byte) []byte {
+		if name != "aux:"+rt.PCTableAux {
+			return data
+		}
+		end := bytes.LastIndex(data, []byte("#end"))
+		if end < 0 {
+			t.Fatalf("pc table carries no trailer:\n%s", data)
+		}
+		return data[:end]
+	})
+	for _, salvage := range []bool{false, true} {
+		for _, c := range []struct {
+			name  string
+			store trace.Store
+			want  bool
+		}{
+			{"sealed", mem, false},
+			{"trailerless", trailerless, true},
+			{"missing", noPCTable{mem}, true},
+		} {
+			rep, err := New(c.store, Config{Salvage: salvage}).Analyze()
+			if err != nil {
+				t.Fatalf("%s (salvage %v): %v", c.name, salvage, err)
+			}
+			if noted(rep) != c.want {
+				t.Errorf("%s (salvage %v): unfinished-run note %v, want %v; notes %q",
+					c.name, salvage, noted(rep), c.want, rep.Notes())
+			}
+			if rep.Len() == 0 {
+				t.Errorf("%s (salvage %v): races lost", c.name, salvage)
+			}
+		}
 	}
 }

@@ -121,13 +121,19 @@ type treeUnit struct {
 	flat     []itree.Run
 }
 
-// insert routes one access into the unit's active construction path.
-func (u *treeUnit) insert(a itree.Access) {
-	if u.probe {
-		u.tree.Insert(a)
+// insert routes count accesses a.Addr, a.Addr+stride, ... — one decoded
+// record — into the unit. The builder takes a run whole; the probe path
+// expands it into single inserts, so the tree stays the reference the
+// builder is checked against.
+func (u *treeUnit) insert(a itree.Access, stride int64, count uint64) {
+	if !u.probe {
+		u.build.InsertRun(a, stride, count)
 		return
 	}
-	u.build.Insert(a)
+	for ; count > 0; count-- {
+		u.tree.Insert(a)
+		a.Addr += uint64(stride)
+	}
 }
 
 // finalize completes the unit after its slot's log streamed: the builder

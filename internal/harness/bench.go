@@ -89,6 +89,54 @@ func benchCollectorHotPath(b *testing.B) {
 	}
 }
 
+// benchEncoder measures trace.Encoder alone on b.N accesses from next,
+// ending each buffer at the collector's default 25,000 events the way a
+// flush does (Len, Bytes, Reset). The shapes are the trace package's
+// BenchmarkEncoderStrided and BenchmarkEncoderScattered.
+func benchEncoder(next func(i int) (addr uint64, write bool, pc uint64)) func(b *testing.B) {
+	return func(b *testing.B) {
+		var enc trace.Encoder
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			addr, write, pc := next(i)
+			enc.Access(addr, 8, write, false, pc)
+			if enc.Events() >= rt.DefaultMaxEvents {
+				enc.Len()
+				enc.Bytes()
+				enc.Reset()
+			}
+		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+	}
+}
+
+// encoderStrided is lulesh-shaped: three interleaved streams per loop
+// iteration (read xd[i], read x[i], write x[i]) that all coalesce into runs.
+func encoderStrided(i int) (uint64, bool, uint64) {
+	k := uint64(i/3) % 4096
+	switch i % 3 {
+	case 0:
+		return 0x100000 + k*8, false, 11
+	case 1:
+		return 0x200000 + k*8, false, 12
+	default:
+		return 0x200000 + k*8, true, 12
+	}
+}
+
+// encoderScattered is c_fft-shaped: each butterfly touches i+o and j+o
+// through one site, so a stream alternates between two addresses, never
+// repeats its delta, and every access is encoded eagerly.
+func encoderScattered(i int) (uint64, bool, uint64) {
+	const span = 512
+	k := uint64(i/4) % 2048
+	addr := 0x100000 + ((k/span)*2*span+k%span)*8
+	if i%2 == 1 {
+		addr += span * 8
+	}
+	return addr, i%4 >= 2, 21
+}
+
 // benchCollectorAffine measures the collection cost of one access issued
 // through the affine capture API (Thread.ForAffine), per lane:
 //
@@ -252,7 +300,8 @@ func benchAnalyzerEndToEnd(name string) func(b *testing.B) {
 // → result. It covers the hot paths the perf work targets: contended
 // multi-slot collection (async pipeline vs synchronous flushing), the
 // uncontended append, the affine capture path in its three filter lanes
-// (certified drop, uncertified record, filter off), and each flush codec.
+// (certified drop, uncertified record, filter off), the event encoder on a
+// coalescing and a non-coalescing access shape, and each flush codec.
 func MicroBenches() map[string]BenchResult {
 	benches := []struct {
 		name string
@@ -265,6 +314,8 @@ func MicroBenches() map[string]BenchResult {
 		{"CollectorAffine/certified", benchCollectorAffine("certified")},
 		{"CollectorAffine/uncertified", benchCollectorAffine("uncertified")},
 		{"CollectorAffine/nofilter", benchCollectorAffine("nofilter")},
+		{"EncoderStrided", benchEncoder(encoderStrided)},
+		{"EncoderScattered", benchEncoder(encoderScattered)},
 		{"Compress/raw", benchCompress(compress.Raw{})},
 		{"Compress/lzss", benchCompress(compress.LZSS{})},
 		{"Compress/flate", benchCompress(compress.NewFlate())},

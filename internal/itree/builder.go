@@ -105,37 +105,134 @@ func (b *Builder) Accesses() uint64 { return b.accum }
 // the pre-sort slab holds the same node multiset a tree build produces.
 func (b *Builder) Insert(a Access) {
 	b.accum++
+	b.insert(a)
+}
+
+// insert is Insert without the access count; it returns the slab index
+// of the run that took the access.
+func (b *Builder) insert(a Access) int32 {
 	for _, idx := range b.recent[:b.nrecent] {
 		r := &b.runs[idx]
-		if r.PC != a.PC || r.Write != a.Write || r.Atomic != a.Atomic ||
-			r.Width != a.Width || r.Mutexes != a.Mutexes {
+		if !sameSite(r, &a) {
 			continue
 		}
 		switch {
 		case a.Addr == r.High:
 			r.Count++
-			return
+			return idx
 		case r.Stride == 0 && a.Addr > r.Low:
 			r.Stride = a.Addr - r.Low
 			r.High = a.Addr
 			r.Count++
-			return
+			return idx
 		case r.Stride != 0 && a.Addr == r.High+r.Stride:
 			r.High = a.Addr
 			r.Count++
-			return
+			return idx
 		}
 	}
+	return b.push(Run{Low: a.Addr, High: a.Addr, Width: a.Width,
+		Write: a.Write, Atomic: a.Atomic, PC: a.PC, Mutexes: a.Mutexes, Count: 1})
+}
+
+// sameSite reports whether a may coalesce into r: every attribute but the
+// address matches.
+func sameSite(r *Run, a *Access) bool {
+	return r.PC == a.PC && r.Write == a.Write && r.Atomic == a.Atomic &&
+		r.Width == a.Width && r.Mutexes == a.Mutexes
+}
+
+// push appends a new run to the slab and makes it the most recent one.
+func (b *Builder) push(r Run) int32 {
 	if len(b.runs) == cap(b.runs) {
 		b.grow()
 	}
-	b.runs = append(b.runs, Run{Low: a.Addr, High: a.Addr, Width: a.Width,
-		Write: a.Write, Atomic: a.Atomic, PC: a.PC, Mutexes: a.Mutexes, Count: 1})
+	b.runs = append(b.runs, r)
 	if b.nrecent < len(b.recent) {
 		b.nrecent++
 	}
 	copy(b.recent[1:b.nrecent], b.recent[:b.nrecent-1])
 	b.recent[0] = int32(len(b.runs) - 1)
+	return b.recent[0]
+}
+
+// InsertRun adds count accesses at a.Addr, a.Addr+stride, ...,
+// a.Addr+(count-1)*stride, each with a's other attributes — one decoded
+// run record. The progression must not wrap around the address space.
+//
+// For stride ≥ 0 the builder ends in exactly the state Insert of the
+// expanded accesses leaves, so node counts match a tree built from the
+// expansion. It inserts accesses one by one only while an earlier
+// recent run could still take one of the remaining accesses; once the
+// run that took the latest access is the first candidate for all of the
+// rest, it absorbs them in one step, so a run costs O(1) in the common
+// case and never more than its expansion.
+//
+// A negative stride is stored as one run from the last address up to
+// a.Addr. Insert never coalesces a descending sequence (each access starts
+// a node), so this differs from the expansion before Finish; after
+// Finish(true) merges neighbors, both give the same runs unless a node
+// with the same attributes falls inside the run's address range.
+func (b *Builder) InsertRun(a Access, stride int64, count uint64) {
+	if count == 0 {
+		return
+	}
+	b.accum += count
+	if stride < 0 && count > 1 {
+		step := -uint64(stride)
+		b.push(Run{Low: a.Addr - (count-1)*step, High: a.Addr, Stride: step, Width: a.Width,
+			Write: a.Write, Atomic: a.Atomic, PC: a.PC, Mutexes: a.Mutexes, Count: count})
+		return
+	}
+	step := uint64(stride)
+	for {
+		idx := b.insert(a)
+		count--
+		if count == 0 {
+			return
+		}
+		if b.takesRest(idx, &a, step, count) {
+			r := &b.runs[idx]
+			r.High = a.Addr + count*step
+			if step != 0 {
+				r.Stride = step
+			}
+			r.Count += count
+			return
+		}
+		a.Addr += step
+	}
+}
+
+// takesRest reports whether Insert would send each of the rest accesses
+// a.Addr+step, ..., a.Addr+rest*step to run idx, which just took a.Addr
+// (so its High is a.Addr): idx must continue the progression, and no run
+// that Insert probes before it may take any of them.
+func (b *Builder) takesRest(idx int32, a *Access, step, rest uint64) bool {
+	r := &b.runs[idx]
+	if step != 0 && r.Stride != 0 && r.Stride != step {
+		return false
+	}
+	last := a.Addr + rest*step
+	in := func(v uint64) bool { // v is one of the rest accesses
+		if step == 0 {
+			return v == a.Addr
+		}
+		return v > a.Addr && v <= last && (v-a.Addr)%step == 0
+	}
+	for _, q := range b.recent[:b.nrecent] {
+		if q == idx {
+			return true
+		}
+		o := &b.runs[q]
+		if !sameSite(o, a) {
+			continue
+		}
+		if in(o.High) || (o.Stride == 0 && last > o.Low) || (o.Stride != 0 && in(o.High+o.Stride)) {
+			return false
+		}
+	}
+	return false // unreachable: the run that took a.Addr is recent
 }
 
 // grow resizes the slab ahead of append's default policy: pointer-free

@@ -215,3 +215,142 @@ func BenchmarkRunBuild(b *testing.B) {
 		}
 	})
 }
+
+// runOp is one InsertRun call of a randomized run stream.
+type runOp struct {
+	a      Access
+	stride int64
+	count  uint64
+}
+
+// randomRuns produces run records over sites distinct sites (at most 12)
+// and a narrow address range, so runs interleave with and continue each
+// other the way decoded run records of several streams do. One site makes
+// every recent run a coalescing candidate for every access.
+func randomRuns(rng *rand.Rand, n, sites int, descending bool) []runOp {
+	ops := make([]runOp, n)
+	for i := range ops {
+		site := rng.Intn(sites)
+		stride := int64(rng.Intn(5))
+		if descending && rng.Intn(2) == 0 {
+			stride = -stride
+		}
+		count := uint64(1 + rng.Intn(10))
+		addr := uint64(1024 + rng.Intn(512))
+		ops[i] = runOp{
+			a: Access{Addr: addr, Width: 8, Write: site&1 == 0,
+				PC: uint64(site >> 2), Mutexes: trace.MutexSet(site >> 1 & 1)},
+			stride: stride,
+			count:  count,
+		}
+	}
+	return ops
+}
+
+func expand(b *Builder, op runOp) {
+	a := op.a
+	for i := uint64(0); i < op.count; i++ {
+		b.Insert(a)
+		a.Addr += uint64(op.stride)
+	}
+}
+
+// TestInsertRunMatchesExpansion: for non-negative strides, InsertRun must
+// leave the builder in exactly the state Insert of the expanded accesses
+// does — the same slab, run for run, and the same recent cache — whatever
+// runs came before.
+func TestInsertRunMatchesExpansion(t *testing.T) {
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var got, want Builder
+		sites := 1
+		if seed%2 == 1 {
+			sites = 12
+		}
+		for i, op := range randomRuns(rng, 1+rng.Intn(60), sites, false) {
+			got.InsertRun(op.a, op.stride, op.count)
+			expand(&want, op)
+			if got.accum != want.accum || got.nrecent != want.nrecent || got.recent != want.recent ||
+				len(got.runs) != len(want.runs) {
+				t.Fatalf("seed %d op %d (%+v): builder state diverged: %d runs, want %d",
+					seed, i, op, len(got.runs), len(want.runs))
+			}
+			for j := range got.runs {
+				if got.runs[j] != want.runs[j] {
+					t.Fatalf("seed %d op %d (%+v): run %d = %s, want %s",
+						seed, i, op, j, payload(&got.runs[j]), payload(&want.runs[j]))
+				}
+			}
+		}
+	}
+}
+
+// TestInsertRunFreshBuilder: a single run of any stride sign inserted into
+// a fresh builder finishes (with compaction) into the same runs as its
+// expansion.
+func TestInsertRunFreshBuilder(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		op := randomRuns(rng, 1, 12, true)[0]
+		var got, want Builder
+		got.InsertRun(op.a, op.stride, op.count)
+		expand(&want, op)
+		g, gs := got.Finish(true)
+		w, ws := want.Finish(true)
+		if len(g) != len(w) || gs.Low != ws.Low || gs.High != ws.High {
+			t.Fatalf("seed %d (%+v): %d runs %+v, want %d runs %+v", seed, op, len(g), gs, len(w), ws)
+		}
+		for i := range g {
+			if payload(&g[i]) != payload(&w[i]) {
+				t.Fatalf("seed %d (%+v): run %d = %s, want %s", seed, op, i, payload(&g[i]), payload(&w[i]))
+			}
+		}
+		if got.Accesses() != op.count {
+			t.Fatalf("seed %d: Accesses() = %d, want %d", seed, got.Accesses(), op.count)
+		}
+	}
+}
+
+// TestInsertRunIsConstantTime: a long strided run lands in one slab entry
+// without walking its accesses.
+func TestInsertRunIsConstantTime(t *testing.T) {
+	var b Builder
+	b.InsertRun(Access{Addr: 0x1000, Width: 8, PC: 1}, 8, 1<<40)
+	b.InsertRun(Access{Addr: 0x1000 + 1<<43, Width: 8, PC: 1}, 8, 1<<20)
+	if len(b.runs) != 1 || b.runs[0].Count != 1<<40+1<<20 || b.runs[0].High != 0x1000+(1<<43)+(1<<20-1)*8 {
+		t.Fatalf("runs = %+v", b.runs)
+	}
+}
+
+// TestInsertRunYieldsToEarlierRun: a run that Insert probes first takes
+// an access in the middle of a later run, so the run that took the first
+// access cannot absorb the rest in one step. Case "single": a one-access
+// run whose Low lies inside the range; case "strided": a run whose next
+// step lands on the progression.
+func TestInsertRunYieldsToEarlierRun(t *testing.T) {
+	site := Access{Width: 8, PC: 1}
+	at := func(addr uint64) Access { a := site; a.Addr = addr; return a }
+	for name, earlier := range map[string][]uint64{
+		"single":  {200},
+		"strided": {296, 298}, // next step 300 = 116 + 23*8
+	} {
+		var got, want Builder
+		for _, b := range []*Builder{&got, &want} {
+			b.Insert(at(100))
+			b.Insert(at(108)) // run [100,108] Δ8
+			for _, addr := range earlier {
+				b.Insert(at(addr)) // probed before the strided run
+			}
+		}
+		got.InsertRun(at(116), 8, 30)
+		expand(&want, runOp{a: at(116), stride: 8, count: 30})
+		if len(got.runs) != len(want.runs) {
+			t.Fatalf("%s: %d runs, want %d", name, len(got.runs), len(want.runs))
+		}
+		for i := range got.runs {
+			if got.runs[i] != want.runs[i] {
+				t.Fatalf("%s: run %d = %s, want %s", name, i, payload(&got.runs[i]), payload(&want.runs[i]))
+			}
+		}
+	}
+}

@@ -173,20 +173,28 @@ func parseTrailer(line string) (lines int, sum uint32, ok bool) {
 	return n, uint32(v), true
 }
 
-// ReadTable parses a table previously written by WriteTo. A trailer must
-// match the lines before it (Sealed); a table without one is read as a
-// legacy table, accepted as is.
-func ReadTable(r io.Reader) (*Table, error) {
+// ReadTable parses a table previously written by WriteTo and reports
+// whether it was sealed. A trailer must match the lines before it
+// (Sealed); a table without one is read as is and reported unsealed — the
+// table of a run that never reached its end, or of a collector that
+// predates the trailer.
+func ReadTable(r io.Reader) (t *Table, sealed bool, err error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if i := lastLine(data); bytes.HasPrefix(data[i:], []byte("#")) {
 		if !Sealed(data) {
-			return nil, fmt.Errorf("pcreg: trailer %q does not match the table", bytes.TrimSuffix(data[i:], []byte{'\n'}))
+			return nil, false, fmt.Errorf("pcreg: trailer %q does not match the table", bytes.TrimSuffix(data[i:], []byte{'\n'}))
 		}
-		data = data[:i]
+		data, sealed = data[:i], true
 	}
+	t, err = parseTable(data)
+	return t, sealed, err
+}
+
+// parseTable parses the "id<TAB>name" lines of a table without trailer.
+func parseTable(data []byte) (*Table, error) {
 	t := NewTable()
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 64<<10), 1<<20)

@@ -52,9 +52,12 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if _, err := tb.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTable(&buf)
+	got, sealed, err := ReadTable(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !sealed {
+		t.Fatal("table written by WriteTo read as unsealed")
 	}
 	if got.Len() != tb.Len() {
 		t.Fatalf("Len = %d, want %d", got.Len(), tb.Len())
@@ -67,15 +70,15 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestReadTableErrors(t *testing.T) {
-	if _, err := ReadTable(strings.NewReader("no tab here\n")); err == nil {
+	if _, _, err := ReadTable(strings.NewReader("no tab here\n")); err == nil {
 		t.Error("malformed line accepted")
 	}
-	if _, err := ReadTable(strings.NewReader("x\tname\n")); err == nil {
+	if _, _, err := ReadTable(strings.NewReader("x\tname\n")); err == nil {
 		t.Error("bad id accepted")
 	}
-	got, err := ReadTable(strings.NewReader(""))
-	if err != nil || got.Len() == 0 {
-		t.Errorf("empty table: %v, len %d", err, got.Len())
+	got, sealed, err := ReadTable(strings.NewReader(""))
+	if err != nil || got.Len() == 0 || sealed {
+		t.Errorf("empty table: %v, len %d, sealed %v", err, got.Len(), sealed)
 	}
 }
 
@@ -103,9 +106,9 @@ func TestTrailerCommitsTable(t *testing.T) {
 	}
 
 	body := data[:bytes.LastIndex(data, []byte("#end"))]
-	legacy, err := ReadTable(bytes.NewReader(body))
-	if err != nil || legacy.Len() != tb.Len() {
-		t.Fatalf("legacy table: %v, len %d want %d", err, legacy.Len(), tb.Len())
+	legacy, sealed, err := ReadTable(bytes.NewReader(body))
+	if err != nil || legacy.Len() != tb.Len() || sealed {
+		t.Fatalf("legacy table: %v, len %d want %d, sealed %v", err, legacy.Len(), tb.Len(), sealed)
 	}
 
 	damaged := bytes.Clone(data)
@@ -113,20 +116,20 @@ func TestTrailerCommitsTable(t *testing.T) {
 	if Sealed(damaged) {
 		t.Error("damaged table reported sealed")
 	}
-	if _, err := ReadTable(bytes.NewReader(damaged)); err == nil {
+	if _, _, err := ReadTable(bytes.NewReader(damaged)); err == nil {
 		t.Error("trailer mismatch accepted")
 	}
 	// A lost line leaves every remaining line well-formed.
 	first := bytes.IndexByte(body, '\n') + 1
 	second := first + bytes.IndexByte(body[first:], '\n') + 1
 	short := append(bytes.Clone(data[:first]), data[second:]...)
-	if _, err := ReadTable(bytes.NewReader(short)); err == nil {
+	if _, _, err := ReadTable(bytes.NewReader(short)); err == nil {
 		t.Error("table with a missing line accepted")
 	}
-	if _, err := ReadTable(bytes.NewReader(append(bytes.Clone(data), "7\textra\n"...))); err == nil {
+	if _, _, err := ReadTable(bytes.NewReader(append(bytes.Clone(data), "7\textra\n"...))); err == nil {
 		t.Error("data after the trailer accepted")
 	}
-	if _, err := ReadTable(bytes.NewReader(data[:len(data)-1])); err == nil {
+	if _, _, err := ReadTable(bytes.NewReader(data[:len(data)-1])); err == nil {
 		t.Error("torn trailer accepted")
 	}
 }

@@ -112,6 +112,7 @@ type Config struct {
 // Stats aggregates collection counters across all slots.
 type Stats struct {
 	Events          uint64 // instrumented events recorded (counted per flushed buffer; exact after Close)
+	Records         uint64 // trace records written for them: a strided run of accesses is one record
 	EventsFiltered  uint64 // accesses dropped by static certificates
 	Flushes         uint64 // buffer flushes
 	RawBytes        uint64 // uncompressed bytes flushed
@@ -165,6 +166,7 @@ type Collector struct {
 	bufPool   sync.Pool // *[]byte (pointer avoids boxing on Put, SA6002)
 
 	events         atomic.Uint64
+	records        atomic.Uint64
 	eventsFiltered atomic.Uint64
 	flushes        atomic.Uint64
 	fragments      atomic.Uint64
@@ -181,6 +183,7 @@ type Collector struct {
 	// no clock reads on the flush path.
 	timed        bool
 	mEvents      *obs.Counter
+	mRecords     *obs.Counter
 	mFiltered    *obs.Counter
 	mFills       *obs.Counter
 	mFlushes     *obs.Counter
@@ -263,6 +266,7 @@ func New(store trace.Store, cfg Config) *Collector {
 	if m := cfg.Obs; m != nil {
 		c.timed = true
 		c.mEvents = m.Counter("rt.events")
+		c.mRecords = m.Counter("rt.records")
 		c.mFiltered = m.Counter("rt.events_filtered")
 		c.mFills = m.Counter("rt.buffer_fills")
 		c.mFlushes = m.Counter("rt.flushes")
@@ -433,7 +437,8 @@ func (st *slotState) logical() uint64 { return st.flushed + uint64(st.enc.Len())
 
 // flush hands the current buffer to the flush pipeline (or writes it
 // inline in synchronous mode) and resets the encoder. The buffer's events
-// are counted here, once per buffer (see bump). A degraded slot still
+// and records are counted here, once per buffer (see bump); Len has
+// ended the buffer's open runs, so both are exact. A degraded slot still
 // passes through, so its events are counted although its blocks are
 // dropped.
 func (c *Collector) flush(st *slotState) {
@@ -441,9 +446,11 @@ func (c *Collector) flush(st *slotState) {
 	if n == 0 {
 		return
 	}
-	events := uint64(st.enc.Events())
+	events, records := uint64(st.enc.Events()), uint64(st.enc.Records())
 	c.events.Add(events)
 	c.mEvents.Add(events)
+	c.records.Add(records)
+	c.mRecords.Add(records)
 	if c.sync {
 		c.writeBlock(st, st.enc.Bytes())
 	} else {
@@ -818,6 +825,7 @@ func (c *Collector) writeTaskWaits() error {
 func (c *Collector) Stats() Stats {
 	s := Stats{
 		Events:         c.events.Load(),
+		Records:        c.records.Load(),
 		EventsFiltered: c.eventsFiltered.Load(),
 		Flushes:        c.flushes.Load(),
 		Fragments:      c.fragments.Load(),

@@ -12,7 +12,9 @@ import (
 )
 
 // readSlot decodes a slot's full log into events with their logical
-// positions, plus the slot's meta records.
+// positions, plus the slot's meta records. A run record expands into its
+// accesses, each at the run's position, so the events are one per access
+// or mutex operation the program performed.
 func readSlot(t *testing.T, store trace.Store, slot int) (events []trace.Event, positions []uint64, metas []trace.Meta) {
 	t.Helper()
 	src, err := store.OpenLog(slot)
@@ -35,8 +37,13 @@ func readSlot(t *testing.T, store trace.Store, slot int) (events []trace.Event, 
 			if err := dec.Next(&ev); err != nil {
 				t.Fatal(err)
 			}
-			events = append(events, ev)
-			positions = append(positions, pos)
+			for n := ev.Count; n > 0; n-- {
+				one := ev
+				one.Stride, one.Count = 0, 1
+				events = append(events, one)
+				positions = append(positions, pos)
+				ev.Addr += uint64(ev.Stride)
+			}
 		}
 	}
 	lr.Close()
@@ -277,9 +284,12 @@ func TestPCTablePersisted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pcreg.ReadTable(aux)
+	got, sealed, err := pcreg.ReadTable(aux)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !sealed {
+		t.Fatal("persisted pc table carries no end-of-run trailer")
 	}
 	if got.Name(id) != "myfile.go:42" {
 		t.Fatalf("persisted name = %q", got.Name(id))

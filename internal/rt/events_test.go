@@ -23,14 +23,14 @@ var eventModes = []struct {
 	{"live", Config{LiveFlush: true}},
 }
 
-// decodedEvents counts the events a store's logs decode to.
-func decodedEvents(t *testing.T, store trace.Store) uint64 {
+// decodedEvents counts the events a store's logs decode to, every access
+// of a run record included, and the records that carry them.
+func decodedEvents(t *testing.T, store trace.Store) (n, records uint64) {
 	t.Helper()
 	slots, err := store.Slots()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var n uint64
 	var ev trace.Event
 	for _, slot := range slots {
 		src, err := store.OpenLog(slot)
@@ -46,21 +46,24 @@ func decodedEvents(t *testing.T, store trace.Store) uint64 {
 			if err != nil {
 				t.Fatalf("slot %d: %v", slot, err)
 			}
-			for dec := trace.NewDecoder(block); dec.More(); n++ {
+			for dec := trace.NewDecoder(block); dec.More(); records++ {
 				if err := dec.Next(&ev); err != nil {
 					t.Fatalf("slot %d: %v", slot, err)
 				}
+				n += ev.Count
 			}
 		}
 		lr.Close()
 	}
-	return n
+	return n, records
 }
 
 // TestEventsCountExact pins rt.events as an exact count after Close on
 // every bundled workload and in every flush mode: Stats().Events, the
 // registry's rt.events and the events decoded back from the written logs
-// all agree, although the counter is only folded in once per buffer.
+// (summing each run record's count) all agree, although the counter is
+// only folded in once per buffer. rt.records likewise equals the records
+// decoded.
 func TestEventsCountExact(t *testing.T) {
 	for _, w := range workloads.All() {
 		for _, mode := range eventModes {
@@ -81,9 +84,12 @@ func TestEventsCountExact(t *testing.T) {
 				}
 				stats := col.Stats().Events
 				snap := uint64(m.Snapshot().Value("rt.events"))
-				decoded := decodedEvents(t, store)
+				decoded, records := decodedEvents(t, store)
 				if stats != snap || stats != decoded {
 					t.Fatalf("Stats().Events = %d, rt.events = %d, decoded = %d", stats, snap, decoded)
+				}
+				if r, snapR := col.Stats().Records, uint64(m.Snapshot().Value("rt.records")); r != snapR || r != records {
+					t.Fatalf("Stats().Records = %d, rt.records = %d, decoded = %d", r, snapR, records)
 				}
 			})
 		}

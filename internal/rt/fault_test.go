@@ -3,6 +3,7 @@ package rt
 import (
 	"errors"
 	"io"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -17,7 +18,11 @@ import (
 // faultWorkload runs a two-thread region with enough accesses to force
 // several buffer flushes. rounds scales the trace volume: the log writer
 // buffers 64 KiB, so driving write failures mid-run (not just at Close)
-// needs enough rounds to push multiple buffer-fulls into the store.
+// needs enough rounds to push multiple buffer-fulls into the store. The
+// stores visit the array in bit-reversed index order, whose address deltas
+// alternate in sign: no two in a row repeat, so the encoder never
+// coalesces them into runs and the trace volume stays one record per
+// access.
 func faultWorkload(col *Collector, rounds int) {
 	space := memsim.NewSpace(nil)
 	arr, _ := space.AllocF64(256)
@@ -26,7 +31,8 @@ func faultWorkload(col *Collector, rounds int) {
 	runtime.Parallel(2, func(th *omp.Thread) {
 		for round := 0; round < rounds; round++ {
 			th.For(0, 256, func(i int) {
-				th.StoreF64(arr, i, float64(i), pc)
+				j := int(bits.Reverse8(uint8(i)))
+				th.StoreF64(arr, j, float64(j), pc)
 			})
 			th.Barrier()
 		}

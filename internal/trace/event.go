@@ -68,16 +68,20 @@ func (s MutexSet) Intersects(o MutexSet) bool { return s&o != 0 }
 // Empty reports whether no mutex is held.
 func (s MutexSet) Empty() bool { return s == 0 }
 
-// Event is one decoded log record.
+// Event is one decoded log record: a mutex event, a single access, or a
+// run of Count accesses at Addr, Addr+Stride, ... that share every other
+// attribute.
 type Event struct {
 	Kind Kind
 
 	// Access payload (KindAccess).
-	Addr   uint64 // first byte of the accessed location
+	Addr   uint64 // first byte of the accessed location (a run's first access)
 	Size   uint8  // access width in bytes (power of two, 1..128)
 	Write  bool   // store rather than load
 	Atomic bool   // atomic operation (atomics do not race with atomics)
 	PC     uint64 // interned program-counter id of the access site
+	Stride int64  // address step between a run's accesses; 0 for a single access
+	Count  uint64 // events the record stands for: a run's length, otherwise 1
 
 	// Mutex payload (KindMutexAcquire / KindMutexRelease).
 	Mutex uint64 // mutex id

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -39,13 +40,13 @@ func TestMutexSet(t *testing.T) {
 func TestEventRoundTrip(t *testing.T) {
 	var enc Encoder
 	want := []Event{
-		{Kind: KindAccess, Addr: 0x1000, Size: 8, Write: true, PC: 7},
-		{Kind: KindAccess, Addr: 0x1008, Size: 8, PC: 7},
-		{Kind: KindMutexAcquire, Mutex: 3},
-		{Kind: KindAccess, Addr: 0x0ff0, Size: 4, Atomic: true, PC: 9},
-		{Kind: KindMutexRelease, Mutex: 3},
-		{Kind: KindAccess, Addr: 0x2000, Size: 1, Write: true, Atomic: true, PC: 1290},
-		{Kind: KindAccess, Addr: 0, Size: 2, PC: 0},
+		{Kind: KindAccess, Addr: 0x1000, Size: 8, Write: true, PC: 7, Count: 1},
+		{Kind: KindAccess, Addr: 0x1008, Size: 8, PC: 7, Count: 1},
+		{Kind: KindMutexAcquire, Mutex: 3, Count: 1},
+		{Kind: KindAccess, Addr: 0x0ff0, Size: 4, Atomic: true, PC: 9, Count: 1},
+		{Kind: KindMutexRelease, Mutex: 3, Count: 1},
+		{Kind: KindAccess, Addr: 0x2000, Size: 1, Write: true, Atomic: true, PC: 1290, Count: 1},
+		{Kind: KindAccess, Addr: 0, Size: 2, PC: 0, Count: 1},
 	}
 	for _, ev := range want {
 		switch ev.Kind {
@@ -105,7 +106,9 @@ func TestAccessSizePanics(t *testing.T) {
 
 func TestDecoderRejectsGarbage(t *testing.T) {
 	for _, buf := range [][]byte{
-		{0x03},       // unknown tag
+		{0x04},       // unknown tag
+		{0x03},       // run missing its access tag
+		{0x03, 0x01}, // run with a non-access tag
 		{0x01},       // acquire missing id
 		{0x80},       // access missing delta
 		{0x80, 0x05}, // access missing pc
@@ -126,11 +129,11 @@ func TestQuickEventRoundTrip(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			switch r.Intn(4) {
 			case 0:
-				ev := Event{Kind: KindMutexAcquire, Mutex: uint64(r.Intn(64))}
+				ev := Event{Kind: KindMutexAcquire, Mutex: uint64(r.Intn(64)), Count: 1}
 				enc.Acquire(ev.Mutex)
 				want = append(want, ev)
 			case 1:
-				ev := Event{Kind: KindMutexRelease, Mutex: uint64(r.Intn(64))}
+				ev := Event{Kind: KindMutexRelease, Mutex: uint64(r.Intn(64)), Count: 1}
 				enc.Release(ev.Mutex)
 				want = append(want, ev)
 			default:
@@ -141,6 +144,7 @@ func TestQuickEventRoundTrip(t *testing.T) {
 					Write:  r.Intn(2) == 0,
 					Atomic: r.Intn(4) == 0,
 					PC:     uint64(r.Intn(4096)),
+					Count:  1,
 				}
 				enc.Access(ev.Addr, ev.Size, ev.Write, ev.Atomic, ev.PC)
 				want = append(want, ev)
@@ -412,21 +416,27 @@ func TestMemStoreMissingSlot(t *testing.T) {
 	}
 }
 
+// BenchmarkEncodeAccess is two interleaved strided streams; they
+// coalesce into runs, so it measures the run-extend path. The buffer is
+// bounded by event count: Len would end the runs on every call.
 func BenchmarkEncodeAccess(b *testing.B) {
 	var enc Encoder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if enc.Len() > 1<<20 {
+		if enc.Events() >= 1<<18 {
 			enc.Reset()
 		}
 		enc.Access(uint64(0x10000+i*8), 8, i&1 == 0, false, 17)
 	}
 }
 
+// BenchmarkDecodeAccess decodes a buffer of plain access records: the
+// addresses go in bit-reversed order, whose deltas never repeat, so none
+// coalesce into runs.
 func BenchmarkDecodeAccess(b *testing.B) {
 	var enc Encoder
 	for i := 0; i < 25000; i++ {
-		enc.Access(uint64(0x10000+i*8), 8, i&1 == 0, false, 17)
+		enc.Access(0x10000+uint64(bits.Reverse16(uint16(i)))*8, 8, i&1 == 0, false, 17)
 	}
 	buf := enc.Bytes()
 	b.SetBytes(int64(len(buf)))
@@ -478,4 +488,54 @@ func TestTaskWaitsEmpty(t *testing.T) {
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty round trip: %v, %v", got, err)
 	}
+}
+
+// benchEncode feeds b.N accesses from next into an encoder, ending each
+// buffer at the collector's default 25,000 events the way a flush does
+// (Len, Bytes, Reset). harness.MicroBenches runs the same two shapes.
+func benchEncode(b *testing.B, next func(i int) (addr uint64, write bool, pc uint64)) {
+	var enc Encoder
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		addr, write, pc := next(i)
+		enc.Access(addr, 8, write, false, pc)
+		if enc.Events() >= 25000 {
+			enc.Len()
+			enc.Bytes()
+			enc.Reset()
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkEncoderStrided is lulesh-shaped: three interleaved streams per
+// loop iteration (read xd[i], read x[i], write x[i]) that all coalesce.
+func BenchmarkEncoderStrided(b *testing.B) {
+	benchEncode(b, func(i int) (uint64, bool, uint64) {
+		k := uint64(i/3) % 4096
+		switch i % 3 {
+		case 0:
+			return 0x100000 + k*8, false, 11
+		case 1:
+			return 0x200000 + k*8, false, 12
+		default:
+			return 0x200000 + k*8, true, 12
+		}
+	})
+}
+
+// BenchmarkEncoderScattered is c_fft-shaped: each butterfly touches i+o and
+// j+o through the same site, so one stream alternates between two
+// addresses and never repeats its delta.
+func BenchmarkEncoderScattered(b *testing.B) {
+	const span = 512
+	benchEncode(b, func(i int) (uint64, bool, uint64) {
+		k := uint64(i/4) % 2048
+		lo := (k/span)*2*span + k%span
+		addr := 0x100000 + lo*8
+		if i%2 == 1 {
+			addr += span * 8
+		}
+		return addr, i%4 >= 2, 21
+	})
 }

@@ -177,6 +177,12 @@ func TestCollectorCountersMatchStoreBytes(t *testing.T) {
 	if w, r := snap.Value("rt.flushes"), snap.Value("trace.blocks"); w != r {
 		t.Fatalf("write side flushed %d blocks, read side consumed %d", w, r)
 	}
+	if w, r := snap.Value("rt.events"), snap.Value("trace.events"); w != r {
+		t.Fatalf("write side counted %d events, read side decoded %d", w, r)
+	}
+	if w, r := snap.Value("rt.records"), snap.Value("trace.records"); w != r || w == 0 {
+		t.Fatalf("write side wrote %d records, read side decoded %d", w, r)
+	}
 }
 
 // TestSessionObsCodecInstrumented checks that sessions route flushes
